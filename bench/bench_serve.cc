@@ -15,6 +15,9 @@
 //                      skewed mix: one giant component at the top of the
 //                      vertex range plus many small blocks, at 4 threads
 //   warm_query         one ReleaseCc against the warmed server
+//   warm_query_wide    the same on a ~10x wider graph (~10x the
+//                      components): a warm release reads the settled
+//                      per-Δ totals, so per-query ns should stay flat
 //   tier_approx        one approx-tier release (sampled sublinear, no
 //                      family) on a cold-loaded graph, vs the first exact
 //                      query's family-build cost (tier_exact_cold)
@@ -81,6 +84,13 @@ long long TargetVertices() {
 constexpr int kSweepEpsilons = 8;
 constexpr int kWarmQueries = 16;
 constexpr int kDeltaMax = 4;  // public record-multiplicity cap
+
+// Components an ExtensionFamily on `g` keeps state for (non-singletons):
+// the deferred constructor's partition pass, no induction.
+int FamilyComponents(const Graph& g, const ExtensionOptions& options) {
+  return ExtensionFamily(g, options, ExtensionFamily::DeferInduction{})
+      .num_components();
+}
 
 }  // namespace
 
@@ -181,6 +191,8 @@ int main() {
 
   // --- warm queries ---------------------------------------------------------
   double warm_query_ns = 0.0;
+  const int warm_components =
+      FamilyComponents(graph, config.release.extension);
   {
     const auto start = Clock::now();
     for (int i = 0; i < kWarmQueries; ++i) {
@@ -197,7 +209,8 @@ int main() {
         .Cell(warm_query_ns * 1e-6, 3)
         .Cell("per ReleaseCc, warmed family");
     table.EndRow();
-    add_record("warm_query", warm_query_ns, {{"queries", kWarmQueries}});
+    add_record("warm_query", warm_query_ns,
+               {{"queries", kWarmQueries}, {"components", warm_components}});
   }
 
   // --- tiered serving: approx tier vs cold exact tier ----------------------
@@ -499,6 +512,50 @@ int main() {
                  "WARNING: warm-sweep speedup %.2fx below the 3x target\n",
                  speedup);
     all_ok = all_ok && std::getenv("NODEDP_SERVE_STRICT") == nullptr;
+  }
+
+  // --- warm_query_wide: the warm query at ~10x the components -------------
+  {
+    // Same entity workload, ten times the entities. A warm ReleaseCc reads
+    // |grid| memoized totals, not every component, so the per-query time
+    // should match warm_query's; wide_ratio = wide / warm_query shows it.
+    // The wide graph is evicted right after, before warm_skew.
+    Rng wide_rng(43);
+    const Graph wide = gen::RandomEntityGraph(
+        static_cast<int>(target * 4), 4, wide_rng);
+    const int wide_components =
+        FamilyComponents(wide, config.release.extension);
+    const Status loaded = server.Load("wide", wide, config);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "wide load failed: %s\n",
+                   loaded.ToString().c_str());
+      return 1;
+    }
+    const auto start = Clock::now();
+    for (int i = 0; i < kWarmQueries; ++i) {
+      const auto release = server.ReleaseCc("wide", 1.0);
+      if (!release.ok()) {
+        std::fprintf(stderr, "wide warm query failed: %s\n",
+                     release.status().ToString().c_str());
+        return 1;
+      }
+    }
+    const double wide_ns = ElapsedNs(start) / kWarmQueries;
+    if (!server.Evict("wide").ok()) {
+      std::fprintf(stderr, "wide evict failed\n");
+      return 1;
+    }
+    const double wide_ratio = wide_ns / warm_query_ns;
+    table.Cell("warm_query_wide")
+        .Cell(wide_ns * 1e-6, 3)
+        .Cell("per ReleaseCc, " + std::to_string(wide_components) +
+              " components (warm_query: " + std::to_string(warm_components) +
+              ")");
+    table.EndRow();
+    add_record("warm_query_wide", wide_ns,
+               {{"queries", kWarmQueries},
+                {"components", wide_components},
+                {"wide_ratio", wide_ratio}});
   }
 
   // --- warm_skew: cost-ordered (LPT) vs index-ordered warm, 4 threads ------

@@ -53,6 +53,15 @@ Histogram* WarmStragglerNsHistogram() {
   return h;
 }
 
+// Values() calls by path (docs/OBSERVABILITY.md): `settled` answered from
+// the memoized per-Δ totals, `planned` walked the components. Call sites
+// resolve each handle once.
+Counter* ValuesPathCounter(const char* path) {
+  return MetricsRegistry::Default().GetCounter(
+      "nodedp_family_values_total", {{"path", path}},
+      "ExtensionFamily Values() calls by path");
+}
+
 long long ElapsedNs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now() - start)
@@ -455,7 +464,7 @@ void ExtensionFamily::MaybeReleaseHostGraphLocked() {
 
 std::size_t ExtensionFamily::MemoryBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::size_t total = 0;
+  std::size_t total = settled_.capacity() * sizeof(SettledTotal);
   if (!host_released_) total += host_graph_.MemoryBytes();
   total += components_.capacity() * sizeof(components_[0]);
   for (const auto& component : components_) {
@@ -515,11 +524,65 @@ Result<double> ExtensionFamily::Value(double delta) {
   return (*values)[0];
 }
 
+ExtensionFamily::SettledTotal* ExtensionFamily::FindSettledLocked(
+    double delta) {
+  for (SettledTotal& settled : settled_) {
+    if (settled.delta == delta) return &settled;
+  }
+  return nullptr;
+}
+
 Result<std::vector<double>> ExtensionFamily::Values(
     const std::vector<double>& deltas) {
   for (double delta : deltas) {
     if (delta < 1.0) {
       return Status::InvalidArgument("delta must be >= 1 (Algorithm 1 grid)");
+    }
+  }
+
+  // Settled read: every requested total is memoized, so answer from the
+  // memo — one lock, |deltas| lookups in a grid-sized vector — and count
+  // the hits a planning pass over the unchanged state would have counted.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    bool all_settled = true;
+    for (double delta : deltas) {
+      if (FindSettledLocked(delta) == nullptr) {
+        all_settled = false;
+        break;
+      }
+    }
+    if (all_settled) {
+      std::vector<double> totals;
+      totals.reserve(deltas.size());
+      for (double delta : deltas) {
+        const SettledTotal& settled = *FindSettledLocked(delta);
+        stats_.watermark_hits += settled.watermark_hits;
+        stats_.cache_hits += settled.cache_hits;
+        totals.push_back(settled.total);
+      }
+      static Counter* settled_calls = ValuesPathCounter("settled");
+      settled_calls->Increment();
+      return totals;
+    }
+  }
+  static Counter* planned_calls = ValuesPathCounter("planned");
+  planned_calls->Increment();
+
+  // Distinct deltas in first-occurrence order, with multiplicities. A
+  // repeat of a Δ never plans a cell: at every component it is either a
+  // watermark hit or finds the first occurrence's cache entry or cell, so
+  // it only adds hit counts.
+  std::vector<std::pair<double, int>> distinct;
+  distinct.reserve(deltas.size());
+  for (double delta : deltas) {
+    const auto seen = std::find_if(
+        distinct.begin(), distinct.end(),
+        [delta](const std::pair<double, int>& d) { return d.first == delta; });
+    if (seen != distinct.end()) {
+      ++seen->second;
+    } else {
+      distinct.emplace_back(delta, 1);
     }
   }
 
@@ -538,19 +601,20 @@ Result<std::vector<double>> ExtensionFamily::Values(
     std::shared_ptr<BatchQueue> queue;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      std::vector<std::set<double>> queued(components_.size());
-      for (double delta : deltas) {
+      for (const auto& [delta, repeats] : distinct) {
         for (std::size_t c = 0; c < components_.size(); ++c) {
           ComponentState& component = *components_[c];
           if (delta >= component.exact_from) {
-            if (count_settled_stats) ++stats_.watermark_hits;
+            if (count_settled_stats) stats_.watermark_hits += repeats;
             continue;
           }
-          if (component.cached.count(delta) > 0 ||
-              !queued[c].insert(delta).second) {
-            if (count_settled_stats) ++stats_.cache_hits;
+          if (component.cached.count(delta) > 0) {
+            if (count_settled_stats) stats_.cache_hits += repeats;
             continue;
           }
+          // The repeats find this occurrence's cell (ours or a concurrent
+          // batch's) queued: cache hits.
+          if (count_settled_stats) stats_.cache_hits += repeats - 1;
           if (SortedContains(component.inflight_deltas, delta)) {
             awaited.emplace_back(static_cast<int>(c), delta);
             // Demand-first warming: bump the cell to the front of its
@@ -605,108 +669,16 @@ Result<std::vector<double>> ExtensionFamily::Values(
     }
     count_settled_stats = false;
 
-    // Evaluate our claimed cells concurrently, outside the lock. Each loop
-    // item claims one cell from the batch queue — demand lane first, then
-    // cost order — and a cell's first act is inducing its component (no-op
-    // once done), which is what pipelines induction with fast-path probes
-    // and LP solves during a warm. Each cell otherwise reads only its own
-    // snapshots plus component fields immutable after induction, and
-    // writes its own outcome slot, so the outcomes are independent of the
-    // claim schedule — and of any merges other Values() callers complete
-    // meanwhile. As each cell settles it is published and its claim
-    // released immediately, so callers racing this batch unblock per cell,
-    // not at the end of the batch; the publication also records when each
-    // component finishes its last cell, feeding the straggler histogram.
-    std::vector<CellOutcome> outcomes(cells.size());
-    std::vector<int> cells_left(components_.size(), 0);
-    for (const CellTask& cell : cells) {
-      ++cells_left[static_cast<std::size_t>(cell.component)];
+    // Evaluate our claimed cells concurrently, outside the lock, then merge
+    // the order-sensitive remainder under it. A plan with no cells (every
+    // pair settled or awaited) skips both.
+    std::unique_lock<std::mutex> lock(mu_, std::defer_lock);
+    if (!cells.empty()) {
+      const Status evaluated = EvaluateBatch(cells, queue, lock);
+      if (!evaluated.ok()) return evaluated;
+    } else {
+      lock.lock();
     }
-    int components_finished = 0;
-    std::chrono::steady_clock::time_point prev_finish;
-    std::chrono::steady_clock::time_point last_finish;
-    ParallelFor(static_cast<std::int64_t>(cells.size()), [&](std::int64_t) {
-      const std::int64_t i = queue->Next();
-      CellTask& cell = cells[static_cast<std::size_t>(i)];
-      ComponentState& component =
-          *components_[static_cast<std::size_t>(cell.component)];
-      EnsureInduced(component, host_graph_);
-      outcomes[static_cast<std::size_t>(i)] = EvaluateCell(component, cell);
-      std::lock_guard<std::mutex> publish_lock(mu_);
-      PublishCellLocked(cell, outcomes[static_cast<std::size_t>(i)]);
-      if (--cells_left[static_cast<std::size_t>(cell.component)] == 0) {
-        // Publications are serialized under mu_, so each finish observed
-        // here is the latest so far. The clock read lives in this branch
-        // (once per component, not per cell) — a warm on a many-tiny-
-        // components graph has orders of magnitude more cells than
-        // stragglers worth timing.
-        prev_finish = last_finish;
-        last_finish = std::chrono::steady_clock::now();
-        ++components_finished;
-      }
-    });
-    if (components_finished >= 2) {
-      const long long straggler_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(last_finish -
-                                                               prev_finish)
-              .count();
-      WarmStragglerNsHistogram()->Observe(static_cast<double>(straggler_ns));
-      if (QueryTrace* trace = QueryTrace::Current()) {
-        trace->AddSpan("warm_straggler", straggler_ns);
-      }
-    }
-
-    // Merge the order-sensitive remainder in fixed cell order — cut-pool
-    // appends and cumulative stats — back under the lock. Cell values,
-    // watermarks, and claim releases already happened per cell in
-    // PublishCellLocked; nothing a waiter blocks on is left here, but the
-    // cut pool must still grow in planning order so the post-call family
-    // state is bit-identical at any width and dispatch order. The dedup
-    // set over a component's cut pool is built at most once per component,
-    // on first use.
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue != nullptr) {
-      // Every cell is settled and its claim released; the batch no longer
-      // owns anything a waiter could demand.
-      inflight_batches_.erase(std::remove(inflight_batches_.begin(),
-                                          inflight_batches_.end(), queue),
-                              inflight_batches_.end());
-    }
-    std::vector<std::optional<std::set<std::vector<int>>>> pooled_by_component(
-        components_.size());
-    Status first_error = Status::OK();
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CellTask& cell = cells[i];
-      const CellOutcome& outcome = outcomes[i];
-      ComponentState& component =
-          *components_[static_cast<std::size_t>(cell.component)];
-      stats_.cut_rounds += outcome.cut_rounds;
-      stats_.cuts_added += outcome.cuts_added;
-      stats_.simplex_iterations += outcome.simplex_iterations;
-      if (!outcome.ok) {
-        if (first_error.ok()) {
-          first_error = Status::ResourceExhausted(outcome.error);
-        }
-        continue;
-      }
-      if (outcome.fast_certificate) {
-        ++stats_.fast_certificates;
-        continue;
-      }
-      ++stats_.lp_evaluations;
-      if (!outcome.new_cuts.empty()) {
-        std::optional<std::set<std::vector<int>>>& pooled =
-            pooled_by_component[static_cast<std::size_t>(cell.component)];
-        if (!pooled.has_value()) {
-          pooled.emplace(component.cut_pool.begin(), component.cut_pool.end());
-        }
-        for (const std::vector<int>& cut : outcome.new_cuts) {
-          if (pooled->insert(cut).second) component.cut_pool.push_back(cut);
-        }
-      }
-    }
-    MaybeReleaseHostGraphLocked();
-    if (!first_error.ok()) return first_error;
 
     if (!awaited.empty()) {
       // Block only on the cells we need: wait for the concurrent owners of
@@ -731,7 +703,7 @@ Result<std::vector<double>> ExtensionFamily::Values(
       // was settled by our own merge, so this scan is skipped entirely on
       // the uncontended path.
       bool all_settled = true;
-      for (double delta : deltas) {
+      for (const auto& [delta, repeats] : distinct) {
         for (const auto& component : components_) {
           if (delta >= component->exact_from) continue;
           if (component->cached.count(delta) > 0) continue;
@@ -743,24 +715,144 @@ Result<std::vector<double>> ExtensionFamily::Values(
       if (!all_settled) continue;
     }
 
-    // Assemble the per-Δ totals; every pair is settled.
+    // Assemble the per-Δ totals; every pair is settled. Each distinct Δ's
+    // total, with the hit split of this final state, goes into the memo;
+    // the answer is then read back from it, so a later settled read
+    // returns these very doubles.
+    for (const auto& [delta, repeats] : distinct) {
+      SettledTotal settled{delta, 0.0, 0, 0};
+      for (const auto& component : components_) {
+        if (delta >= component->exact_from) {
+          ++settled.watermark_hits;
+        } else {
+          ++settled.cache_hits;
+        }
+        const auto cached = component->cached.find(delta);
+        if (cached != component->cached.end()) {
+          settled.total += cached->second;
+        } else {
+          NODEDP_CHECK_GE(delta, component->exact_from);
+          settled.total += component->f_sf;
+        }
+      }
+      if (SettledTotal* memoized = FindSettledLocked(delta)) {
+        *memoized = settled;
+      } else {
+        settled_.push_back(settled);
+      }
+    }
     std::vector<double> totals;
     totals.reserve(deltas.size());
     for (double delta : deltas) {
-      double total = 0.0;
-      for (const auto& component : components_) {
-        const auto cached = component->cached.find(delta);
-        if (cached != component->cached.end()) {
-          total += cached->second;
-        } else {
-          NODEDP_CHECK_GE(delta, component->exact_from);
-          total += component->f_sf;
-        }
-      }
-      totals.push_back(total);
+      totals.push_back(FindSettledLocked(delta)->total);
     }
     return totals;
   }
+}
+
+Status ExtensionFamily::EvaluateBatch(
+    std::vector<CellTask>& cells, const std::shared_ptr<BatchQueue>& queue,
+    std::unique_lock<std::mutex>& lock) {
+  // Each loop item claims one cell from the batch queue — demand lane
+  // first, then cost order — and a cell's first act is inducing its
+  // component (no-op once done), which is what pipelines induction with
+  // fast-path probes and LP solves during a warm. Each cell otherwise reads
+  // only its own snapshots plus component fields immutable after
+  // induction, and writes its own outcome slot, so the outcomes are
+  // independent of the claim schedule — and of any merges other Values()
+  // callers complete meanwhile. As each cell settles it is published and
+  // its claim released immediately, so callers racing this batch unblock
+  // per cell, not at the end of the batch; the publication also records
+  // when each component finishes its last cell, feeding the straggler
+  // histogram.
+  std::vector<CellOutcome> outcomes(cells.size());
+  std::vector<int> cells_left(components_.size(), 0);
+  for (const CellTask& cell : cells) {
+    ++cells_left[static_cast<std::size_t>(cell.component)];
+  }
+  int components_finished = 0;
+  std::chrono::steady_clock::time_point prev_finish;
+  std::chrono::steady_clock::time_point last_finish;
+  ParallelFor(static_cast<std::int64_t>(cells.size()), [&](std::int64_t) {
+    const std::int64_t i = queue->Next();
+    CellTask& cell = cells[static_cast<std::size_t>(i)];
+    ComponentState& component =
+        *components_[static_cast<std::size_t>(cell.component)];
+    EnsureInduced(component, host_graph_);
+    outcomes[static_cast<std::size_t>(i)] = EvaluateCell(component, cell);
+    std::lock_guard<std::mutex> publish_lock(mu_);
+    PublishCellLocked(cell, outcomes[static_cast<std::size_t>(i)]);
+    if (--cells_left[static_cast<std::size_t>(cell.component)] == 0) {
+      // Publications are serialized under mu_, so each finish observed
+      // here is the latest so far. The clock read lives in this branch
+      // (once per component, not per cell) — a warm on a many-tiny-
+      // components graph has orders of magnitude more cells than
+      // stragglers worth timing.
+      prev_finish = last_finish;
+      last_finish = std::chrono::steady_clock::now();
+      ++components_finished;
+    }
+  });
+  if (components_finished >= 2) {
+    const long long straggler_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(last_finish -
+                                                             prev_finish)
+            .count();
+    WarmStragglerNsHistogram()->Observe(static_cast<double>(straggler_ns));
+    if (QueryTrace* trace = QueryTrace::Current()) {
+      trace->AddSpan("warm_straggler", straggler_ns);
+    }
+  }
+
+  // Merge the order-sensitive remainder in fixed cell order — cut-pool
+  // appends and cumulative stats — back under the lock. Cell values,
+  // watermarks, and claim releases already happened per cell in
+  // PublishCellLocked; nothing a waiter blocks on is left here, but the
+  // cut pool must still grow in planning order so the post-call family
+  // state is bit-identical at any width and dispatch order. The dedup set
+  // over a component's cut pool is built at most once per component, on
+  // first use.
+  lock.lock();
+  // Every cell is settled and its claim released; the batch no longer owns
+  // anything a waiter could demand.
+  inflight_batches_.erase(std::remove(inflight_batches_.begin(),
+                                      inflight_batches_.end(), queue),
+                          inflight_batches_.end());
+  std::vector<std::optional<std::set<std::vector<int>>>> pooled_by_component(
+      components_.size());
+  Status first_error = Status::OK();
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CellTask& cell = cells[i];
+    const CellOutcome& outcome = outcomes[i];
+    ComponentState& component =
+        *components_[static_cast<std::size_t>(cell.component)];
+    stats_.cut_rounds += outcome.cut_rounds;
+    stats_.cuts_added += outcome.cuts_added;
+    stats_.simplex_iterations += outcome.simplex_iterations;
+    if (!outcome.ok) {
+      if (first_error.ok()) {
+        first_error = Status::ResourceExhausted(outcome.error);
+      }
+      continue;
+    }
+    if (outcome.fast_certificate) {
+      ++stats_.fast_certificates;
+      continue;
+    }
+    ++stats_.lp_evaluations;
+    if (!outcome.new_cuts.empty()) {
+      std::optional<std::set<std::vector<int>>>& pooled =
+          pooled_by_component[static_cast<std::size_t>(cell.component)];
+      if (!pooled.has_value()) {
+        pooled.emplace(component.cut_pool.begin(), component.cut_pool.end());
+      }
+      for (const std::vector<int>& cut : outcome.new_cuts) {
+        if (pooled->insert(cut).second) component.cut_pool.push_back(cut);
+      }
+    }
+  }
+  MaybeReleaseHostGraphLocked();
+  return first_error;
 }
 
 void ExtensionFamily::PublishCellLocked(const CellTask& cell,
@@ -786,6 +878,9 @@ void ExtensionFamily::PublishCellLocked(const CellTask& cell,
   // publishes tens of thousands of cells and pays nothing here.
   SortedErase(component.inflight_deltas, cell.delta);
   if (cell_waiters_ > 0) cells_cv_.notify_all();
+  // A publish never changes a settled total, but it can move a component
+  // from one hit count to the other; the next walk re-fills the memo.
+  settled_.clear();
 }
 
 ExtensionFamily::CellOutcome ExtensionFamily::EvaluateCell(

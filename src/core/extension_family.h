@@ -6,6 +6,13 @@
 // Amortizations, all exact (never change any returned value):
 //   * per-component decomposition, done once;
 //   * value cache keyed by Δ;
+//   * settled per-Δ totals: once every component of a Δ is settled, the
+//     call's totals loop memoizes f_Δ(G) together with its watermark/cache
+//     hit split, so a later call whose Δs are all memoized reads |deltas|
+//     numbers instead of walking every component. Any cell publication
+//     clears the memo: a publish never changes a total, but it can move a
+//     component from the cache count to the watermark count, and the
+//     re-fill keeps stats() exactly what the component walk reports;
 //   * monotone exactness watermark: f_Δ0 = f_sf (for a component) implies
 //     f_Δ = f_sf for all Δ >= Δ0 by monotonicity + underestimation
 //     (Lemma 3.3), so at most one Δ per component ever pays for the
@@ -74,9 +81,12 @@ namespace nodedp {
 // a caller that needs a cell another caller is already evaluating blocks on
 // exactly that cell — not on the whole batch. Returned values are identical
 // regardless of interleaving (the LP optimum does not depend on which valid
-// cuts seed it). stats() returns a snapshot copy taken under the same
-// mutex, so it is safe to call while queries are in flight (the serving
-// layer does).
+// cuts seed it). The settled-totals memo lives under the same mutex: a
+// call that finds all its Δs memoized takes the lock once and returns the
+// stored doubles — the very ones the component walk summed, so memoized
+// and walked answers are bit-identical. stats() returns a snapshot copy
+// taken under the same mutex, so it is safe to call while queries are in
+// flight (the serving layer does).
 class ExtensionFamily {
  public:
   // Tag selecting the deferred constructor: record the component partition
@@ -127,7 +137,10 @@ class ExtensionFamily {
   Result<double> Value(double delta);
 
   // Evaluates the whole grid at once — the Algorithm 4 access pattern — and
-  // returns f_Δ(G) for each delta, in input order. Unsettled
+  // returns f_Δ(G) for each delta, in input order. When every delta's total
+  // is memoized (see "settled per-Δ totals" above) the call is O(|deltas|):
+  // one lock, the stored hit counts added to stats(), no component walk.
+  // Otherwise it plans the batch, each distinct delta once. Unsettled
   // (component, Δ) cells are solved concurrently on the current thread
   // pool; each cell works against a snapshot of the family taken before the
   // batch (cut pool, watermark, fast-path floor), and the cells' updates
@@ -179,8 +192,8 @@ class ExtensionFamily {
   int components_invalidated() const { return components_invalidated_; }
 
   // Heap footprint: component graphs (plus the host-graph copy while lazy
-  // induction still needs it), partition vertex lists, cut pools, and the
-  // per-Δ value caches. Safe to call while queries are in flight; feeds
+  // induction still needs it), partition vertex lists, cut pools, the
+  // per-Δ value caches, and the settled totals. Safe to call while queries are in flight; feeds
   // the serving layer's cache-eviction policy.
   std::size_t MemoryBytes() const;
 
@@ -291,6 +304,20 @@ class ExtensionFamily {
     std::vector<std::vector<int>> new_cuts;
   };
 
+  // One memoized per-Δ total, filled by Values()'s totals loop from the
+  // final state: `watermark_hits` counts components with delta >=
+  // exact_from, `cache_hits` the rest (each has a cached value at delta) —
+  // the split a planning pass over that state would count.
+  struct SettledTotal {
+    double delta;
+    double total;
+    int watermark_hits;
+    int cache_hits;
+  };
+
+  // The memo entry for `delta`, or nullptr. Requires mu_.
+  SettledTotal* FindSettledLocked(double delta);
+
   // Runs outside the lock: touches only the task's snapshots and the
   // component fields that are immutable after induction (graph, f_sf).
   CellOutcome EvaluateCell(const ComponentState& component,
@@ -301,12 +328,21 @@ class ExtensionFamily {
   // into. Shared between the owning batch's workers and the registry below.
   struct BatchQueue;
 
+  // Evaluates a planned batch's cells on the pool (publishing each as it
+  // settles), then takes `lock` (on mu_, unlocked on entry) and merges the
+  // order-sensitive remainder — cut pools and cumulative stats — in fixed
+  // cell order. Returns with `lock` held: the first failed cell's error,
+  // or OK.
+  Status EvaluateBatch(std::vector<CellTask>& cells,
+                       const std::shared_ptr<BatchQueue>& queue,
+                       std::unique_lock<std::mutex>& lock);
+
   // Publishes one settled cell under mu_ — value cache, watermark,
-  // fast-path floor — and releases its in-flight claim so awaiting callers
-  // unblock per cell, not per batch. Order-independent by construction:
-  // cache insert of a uniquely-owned key, min over the watermark, max over
-  // the floor. The order-sensitive cut-pool append stays in the batch's
-  // fixed-order merge.
+  // fast-path floor — releases its in-flight claim so awaiting callers
+  // unblock per cell, not per batch, and clears the settled-totals memo.
+  // Order-independent by construction: cache insert of a uniquely-owned
+  // key, min over the watermark, max over the floor, and a clear. The
+  // order-sensitive cut-pool append stays in the batch's fixed-order merge.
   void PublishCellLocked(const CellTask& cell, const CellOutcome& outcome);
 
   int num_vertices_ = 0;
@@ -339,6 +375,10 @@ class ExtensionFamily {
   // owner's queue (demand-first warming). Lock order: mu_ then the queue's
   // own mutex, never the reverse.
   std::vector<std::shared_ptr<BatchQueue>> inflight_batches_;
+  // Settled per-Δ totals, guarded by mu_: one entry per memoized Δ (a grid's
+  // worth at most between publications). Never copied by the incremental
+  // constructor — its own re-warm fills a fresh one.
+  std::vector<SettledTotal> settled_;
   Stats stats_;
 
   // WarmAsync state.
