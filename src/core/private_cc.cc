@@ -166,9 +166,14 @@ std::vector<Result<ConnectedComponentsRelease>> ReleaseBatch(
 namespace {
 
 // Shared shape of both sweep entry points: warm the family's Δ grid once
-// (the ε-independent work), then answer every ε on the pool. A warm-up
-// failure (LP resource exhaustion) is reported in every slot — the per-ε
-// releases could not have succeeded either.
+// (the ε-independent work), then answer every ε in index order. After the
+// warm every grid total is settled, so each per-ε release reads |grid|
+// memoized numbers plus its noise draws — a few microseconds, less than
+// waking the pool would cost. Child streams are split in index order
+// before any release runs, exactly as ParallelMapSeeded splits them, so
+// ε_i's release depends only on i. A warm-up failure (LP resource
+// exhaustion) is reported in every slot — the per-ε releases could not
+// have succeeded either.
 template <typename ReleaseType, typename ReleaseFn>
 std::vector<Result<ReleaseType>> AnswerSweep(
     ExtensionFamily& family, const std::vector<double>& epsilons, Rng& rng,
@@ -178,15 +183,21 @@ std::vector<Result<ReleaseType>> AnswerSweep(
   if (!warm.ok()) {
     return std::vector<Result<ReleaseType>>(epsilons.size(), warm.status());
   }
-  return ParallelMapSeeded(
-      rng, static_cast<std::int64_t>(epsilons.size()),
-      [&](std::int64_t i, Rng& child) -> Result<ReleaseType> {
-        const double epsilon = epsilons[static_cast<std::size_t>(i)];
-        if (!(epsilon > 0.0)) {
-          return Status::InvalidArgument("sweep epsilon must be > 0");
-        }
-        return release(epsilon, child);
-      });
+  std::vector<Rng> children;
+  children.reserve(epsilons.size());
+  for (std::size_t i = 0; i < epsilons.size(); ++i) {
+    children.push_back(rng.Split());
+  }
+  std::vector<Result<ReleaseType>> releases;
+  releases.reserve(epsilons.size());
+  for (std::size_t i = 0; i < epsilons.size(); ++i) {
+    if (!(epsilons[i] > 0.0)) {
+      releases.push_back(Status::InvalidArgument("sweep epsilon must be > 0"));
+    } else {
+      releases.push_back(release(epsilons[i], children[i]));
+    }
+  }
+  return releases;
 }
 
 }  // namespace

@@ -132,9 +132,10 @@ std::vector<Result<ConnectedComponentsRelease>> ReleaseBatch(
 // The release-server shape: many releases at different ε against the SAME
 // graph. The expensive part of Algorithm 1 — evaluating {f_Δ} over the grid
 // — does not depend on ε, so the sweep warms the family's grid once and then
-// answers every ε concurrently against the cached values; each release pays
-// only for GEM scoring and noise sampling. Child Rngs are split in epsilon
-// order before dispatch, so results are bit-identical at any thread count.
+// answers every ε in order against the settled totals; each release pays
+// only for GEM scoring and noise sampling, too little to hand to the pool.
+// Child Rngs are split in epsilon order before the first release, so
+// results are bit-identical at any thread count.
 //
 // Privacy: all releases read the same database, so publishing the sweep
 // costs Σ ε_i by sequential composition (Lemma 2.4) — the caller (e.g.
